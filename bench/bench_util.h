@@ -38,6 +38,16 @@ inline void Note(const std::string& text) {
   std::printf("note: %s\n", text.c_str());
 }
 
+// Resolves the --json flag value for a harness named `name`: a bare
+// `--json` picks the conventional BENCH_<name>.json, `--json=<path>`
+// overrides, absent flag disables (empty string).
+inline std::string JsonPathFromFlag(const std::string& flag_value,
+                                    const std::string& name) {
+  if (flag_value.empty()) return "";
+  if (flag_value == "true") return "BENCH_" + name + ".json";
+  return flag_value;
+}
+
 }  // namespace speedkit::bench
 
 #endif  // SPEEDKIT_BENCH_BENCH_UTIL_H_

@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "bench/trace_support.h"
 #include "bench/workload_runner.h"
 #include "core/stack.h"
+#include "obs/json.h"
 #include "sketch/counting_bloom.h"
 #include "tools/flags.h"
 
@@ -42,7 +42,7 @@ bench::RunSpec BaseSpec() {
 
 using Clock = std::chrono::steady_clock;
 
-void AblationTtlEstimator(bench::JsonValue* rows) {
+void AblationTtlEstimator(obs::JsonValue* rows) {
   bench::PrintSection(
       "A1: estimator vs global fixed TTL (heterogeneous write rates)");
   bench::Row("%14s %10s %12s %14s %12s %12s", "ttl_policy", "hit_rate",
@@ -69,7 +69,7 @@ void AblationTtlEstimator(bench::JsonValue* rows) {
                static_cast<unsigned long long>(
                    out.traffic.proxies.revalidations_304),
                out.traffic.api_latency_us.P50() / 1e3);
-    rows->Push(bench::JsonRow(
+    rows->Push(obs::JsonRow(
         {{"section", "a1_ttl_estimator"},
          {"policy", policy},
          {"hit_rate", hit_rate},
@@ -83,7 +83,7 @@ void AblationTtlEstimator(bench::JsonValue* rows) {
               "entries per write)");
 }
 
-void AblationCountingFilter(bench::JsonValue* rows) {
+void AblationCountingFilter(obs::JsonValue* rows) {
   bench::PrintSection(
       "A2: snapshot cost — counting filter materialize vs rebuild from key "
       "set (20k tracked keys, 1% fpr sizing)");
@@ -125,15 +125,15 @@ void AblationCountingFilter(bench::JsonValue* rows) {
   bench::Row("%24s %14.0f", "rebuild from keys", rebuild_us);
   bench::Row("%24s %13.1fx", "speedup", rebuild_us / materialize_us);
   (void)bits_set;
-  rows->Push(bench::JsonRow({{"section", "a2_counting_filter"},
-                             {"materialize_us", materialize_us},
-                             {"rebuild_us", rebuild_us},
-                             {"speedup", rebuild_us / materialize_us}}));
+  rows->Push(obs::JsonRow({{"section", "a2_counting_filter"},
+                           {"materialize_us", materialize_us},
+                           {"rebuild_us", rebuild_us},
+                           {"speedup", rebuild_us / materialize_us}}));
   bench::Note("the CBF also supports incremental expiry; rebuilding would "
               "additionally require keeping all keys hot in memory");
 }
 
-void AblationSegmentCaching(bench::JsonValue* rows) {
+void AblationSegmentCaching(obs::JsonValue* rows) {
   bench::PrintSection(
       "A3: segment-scoped caching on vs off (6 personalized blocks/page, "
       "32 cohorts, 300 users)");
@@ -176,10 +176,10 @@ void AblationSegmentCaching(bench::JsonValue* rows) {
     bench::Row("segment_caching=%-5s  hit_share=%5.1f%%  mean_latency=%.2fms",
                segment_caching ? "on" : "off", hit_share * 100,
                mean_latency_ms);
-    rows->Push(bench::JsonRow({{"section", "a3_segment_caching"},
-                               {"segment_caching", segment_caching},
-                               {"hit_share", hit_share},
-                               {"mean_latency_ms", mean_latency_ms}}));
+    rows->Push(obs::JsonRow({{"section", "a3_segment_caching"},
+                             {"segment_caching", segment_caching},
+                             {"hit_share", hit_share},
+                             {"mean_latency_ms", mean_latency_ms}}));
   }
   bench::Note("'off' (template join for everything) can even beat segment "
               "caching on pure delivery cost, because one template is "
@@ -189,7 +189,7 @@ void AblationSegmentCaching(bench::JsonValue* rows) {
               "rankings) that has no client-side join");
 }
 
-void AblationSwr(bench::JsonValue* rows) {
+void AblationSwr(obs::JsonValue* rows) {
   bench::PrintSection(
       "A4: stale-while-revalidate on vs off (fixed 60s TTLs, mostly-read)");
   bench::Row("%8s %10s %10s %12s %12s %12s", "swr", "mean_ms", "p99_ms",
@@ -210,7 +210,7 @@ void AblationSwr(bench::JsonValue* rows) {
                static_cast<unsigned long long>(out.traffic.proxies.swr_serves),
                out.staleness.StaleFraction() * 100,
                out.staleness.max_staleness.seconds());
-    rows->Push(bench::JsonRow(
+    rows->Push(obs::JsonRow(
         {{"section", "a4_swr"},
          {"swr", swr_on},
          {"mean_ms", out.traffic.api_latency_us.Mean() / 1e3},
@@ -225,7 +225,7 @@ void AblationSwr(bench::JsonValue* rows) {
               "the SWR path, and the ExpiryBook horizon covers the window");
 }
 
-void AblationAssetOptimization(bench::JsonValue* rows) {
+void AblationAssetOptimization(obs::JsonValue* rows) {
   bench::PrintSection(
       "A5: asset optimization on vs off — cold image-heavy page, mobile "
       "downlink (~1.5 Mbit/s)");
@@ -255,7 +255,7 @@ void AblationAssetOptimization(bench::JsonValue* rows) {
     bench::Row("%10s %14llu %16.0f %14lld", optimize ? "on" : "off",
                static_cast<unsigned long long>(bytes), total_us / 1e3,
                static_cast<long long>(baseline_bytes - bytes));
-    rows->Push(bench::JsonRow(
+    rows->Push(obs::JsonRow(
         {{"section", "a5_asset_optimization"},
          {"optimize", optimize},
          {"page_bytes", bytes},
@@ -281,23 +281,24 @@ int main(int argc, char** argv) {
       flags.GetString("json", ""), "ablations");
   std::string trace_path = speedkit::bench::TracePathFromFlag(
       flags.GetString("trace", ""), "ablations");
+  flags.RejectUnknown();
 
   speedkit::bench::PrintHeader(
       "E12",
       "Ablations: TTL estimator, counting filter, segment caching, SWR, "
       "asset optimization",
       "the design choices DESIGN.md calls out");
-  speedkit::bench::JsonValue rows = speedkit::bench::JsonValue::Array();
+  speedkit::obs::JsonValue rows = speedkit::obs::JsonValue::Array();
   speedkit::AblationTtlEstimator(&rows);
   speedkit::AblationCountingFilter(&rows);
   speedkit::AblationSegmentCaching(&rows);
   speedkit::AblationSwr(&rows);
   speedkit::AblationAssetOptimization(&rows);
   if (!json_path.empty()) {
-    speedkit::bench::JsonValue root = speedkit::bench::JsonValue::Object();
+    speedkit::obs::JsonValue root = speedkit::obs::JsonValue::Object();
     root.Set("bench", "ablations");
     root.Set("rows", std::move(rows));
-    speedkit::bench::WriteJsonFile(json_path, root);
+    speedkit::obs::WriteJsonFile(json_path, root);
   }
   // A1's estimator arm: the full speed_kit feature set under write skew.
   speedkit::bench::RunSpec trace_spec = speedkit::bench::DefaultRunSpec();

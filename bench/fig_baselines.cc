@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "bench/parallel_runner.h"
 #include "bench/trace_support.h"
+#include "obs/json.h"
 #include "tools/flags.h"
 
 namespace speedkit {
@@ -56,12 +56,12 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
 
   bench::SweepResult sweep = bench::RunSweep(configs, num_seeds, sweep_threads);
 
-  bench::JsonValue root = bench::JsonValue::Object();
+  obs::JsonValue root = obs::JsonValue::Object();
   root.Set("bench", "baselines");
   root.Set("seeds", num_seeds);
   root.Set("threads", threads);
   root.Set("shards", shards);
-  bench::JsonValue rows = bench::JsonValue::Array();
+  obs::JsonValue rows = obs::JsonValue::Array();
 
   size_t config_index = 0;
   for (double writes_per_sec : kWriteRates) {
@@ -93,7 +93,7 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
                  merged.staleness.max_staleness.seconds(),
                  static_cast<unsigned long long>(merged.origin_requests));
 
-      bench::JsonValue row = bench::JsonRow(
+      obs::JsonValue row = obs::JsonRow(
           {{"writes_per_sec", writes_per_sec},
            {"system", name},
            {"p50_ms", merged.traffic.api_latency_us.P50() / 1e3},
@@ -116,7 +116,7 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
   root.Set("wall_seconds", sweep.wall_seconds);
   root.Set("cpu_seconds", sweep.cpu_seconds);
   root.Set("speedup", sweep.Speedup());
-  if (!json_path.empty()) bench::WriteJsonFile(json_path, root);
+  if (!json_path.empty()) obs::WriteJsonFile(json_path, root);
 
   // speed_kit at the lowest write rate: the canonical happy-path trace.
   bench::MaybeTraceRun(configs[0], "baselines", trace_path);
@@ -136,6 +136,7 @@ int main(int argc, char** argv) {
       flags.GetString("json", ""), "baselines");
   std::string trace_path = speedkit::bench::TracePathFromFlag(
       flags.GetString("trace", ""), "baselines");
+  flags.RejectUnknown();
 
   speedkit::bench::PrintHeader(
       "E9", "Baseline comparison: latency, staleness, origin load",

@@ -17,8 +17,8 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "core/cart_traffic.h"
+#include "obs/json.h"
 #include "tools/flags.h"
 #include "workload/catalog.h"
 
@@ -34,7 +34,7 @@ struct E18Params {
 
 struct ModeOutcome {
   core::CartTrafficResult cart;
-  core::StalenessReport staleness;
+  coherence::StalenessReport staleness;
 };
 
 ModeOutcome RunMode(coherence::CoherenceMode mode, const E18Params& params) {
@@ -78,6 +78,7 @@ int main(int argc, char** argv) {
   params.writes_per_sec = flags.GetDouble("writes-per-sec", 4.0);
   std::string json_path =
       bench::JsonPathFromFlag(flags.GetString("json", ""), "coherence");
+  flags.RejectUnknown();
 
   bench::PrintHeader(
       "E18", "Pluggable coherence modes on the cart workload",
@@ -93,12 +94,12 @@ int main(int argc, char** argv) {
   bench::PrintSection("per-mode transaction outcomes");
   bench::Row("%14s %8s %8s %8s %9s %9s %10s %10s", "mode", "txns", "commit",
              "abort", "retries", "anomaly", "stale_rd", "p50_txn_ms");
-  bench::JsonValue rows = bench::JsonValue::Array();
+  obs::JsonValue rows = obs::JsonValue::Array();
   ModeOutcome outcomes[3];
   for (int m = 0; m < 3; ++m) {
     outcomes[m] = RunMode(modes[m], params);
     const core::CartTrafficResult& c = outcomes[m].cart;
-    const core::StalenessReport& s = outcomes[m].staleness;
+    const coherence::StalenessReport& s = outcomes[m].staleness;
     double retries_per_txn =
         c.txns_attempted == 0
             ? 0.0
@@ -112,7 +113,7 @@ int main(int argc, char** argv) {
                100.0 * c.AnomalyRate(), 100.0 * s.StaleFraction(),
                c.txn_latency_us.P50() / 1e3);
     const proxy::ProxyStats& p = c.proxies;
-    rows.Push(bench::JsonRow(
+    rows.Push(obs::JsonRow(
         {{"section", "modes"},
          {"mode", std::string(CoherenceModeName(modes[m]))},
          {"txns_attempted", c.txns_attempted},
@@ -140,10 +141,10 @@ int main(int argc, char** argv) {
       "retries/aborts; fixed_ttl pays nothing and reads anomalies");
 
   if (!json_path.empty()) {
-    bench::JsonValue root = bench::JsonValue::Object();
+    obs::JsonValue root = obs::JsonValue::Object();
     root.Set("bench", "coherence");
     root.Set("rows", std::move(rows));
-    bench::WriteJsonFile(json_path, root);
+    obs::WriteJsonFile(json_path, root);
   }
 
   // The gate: both coherent modes must commit anomaly-free, and the

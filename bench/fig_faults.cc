@@ -26,9 +26,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "bench/parallel_runner.h"
 #include "bench/trace_support.h"
+#include "obs/json.h"
 #include "tools/flags.h"
 
 namespace speedkit {
@@ -117,13 +117,13 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
 
   bench::SweepResult sweep = bench::RunSweep(configs, num_seeds, sweep_threads);
 
-  bench::JsonValue root = bench::JsonValue::Object();
+  obs::JsonValue root = obs::JsonValue::Object();
   root.Set("bench", "faults");
   root.Set("seeds", num_seeds);
   root.Set("threads", threads);
   root.Set("shards", shards);
   root.Set("bound_margin_s", kBoundMarginS);
-  bench::JsonValue rows = bench::JsonValue::Array();
+  obs::JsonValue rows = obs::JsonValue::Array();
 
   bench::PrintSection(
       "purge-delivery loss: Delta-bound holds, stale-read rate degrades");
@@ -144,7 +144,7 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
                static_cast<unsigned long long>(out.staleness.delta_violations),
                static_cast<unsigned long long>(out.pipeline.purges_dropped),
                static_cast<unsigned long long>(out.pipeline.purges_scheduled));
-    bench::JsonValue row = bench::JsonRow(
+    obs::JsonValue row = obs::JsonRow(
         {{"section", "purge_loss"},
          {"variant", variant},
          {"purge_loss", loss},
@@ -188,7 +188,7 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
                static_cast<unsigned long long>(p.offline_serves),
                static_cast<unsigned long long>(p.fallback_serves),
                static_cast<unsigned long long>(p.timeouts));
-    bench::JsonValue row = bench::JsonRow(
+    obs::JsonValue row = obs::JsonRow(
         {{"section", "outage"},
          {"outage", std::string(outage_names[i])},
          {"variant", std::string(outage_variants[i])},
@@ -222,7 +222,7 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
                static_cast<unsigned long long>(p.retries),
                static_cast<unsigned long long>(p.fallback_serves),
                Availability(out) * 100, out.traffic.api_latency_us.P99() / 1e3);
-    rows.Push(bench::JsonRow(
+    rows.Push(obs::JsonRow(
         {{"section", "flaky_link"},
          {"link_loss", kLinkLoss[i]},
          {"requests", p.requests},
@@ -242,7 +242,7 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
   root.Set("wall_seconds", sweep.wall_seconds);
   root.Set("cpu_seconds", sweep.cpu_seconds);
   root.Set("speedup", sweep.Speedup());
-  if (!json_path.empty()) bench::WriteJsonFile(json_path, root);
+  if (!json_path.empty()) obs::WriteJsonFile(json_path, root);
 
   // Flaky-link config: its traces carry the richest degraded-path spans
   // (timeout waits, retry backoffs, reroutes) next to the happy paths.
@@ -263,6 +263,7 @@ int main(int argc, char** argv) {
       flags.GetString("json", ""), "faults");
   std::string trace_path = speedkit::bench::TracePathFromFlag(
       flags.GetString("trace", ""), "faults");
+  flags.RejectUnknown();
 
   speedkit::bench::PrintHeader(
       "E14", "Fault injection: purge loss, outages, flaky links",

@@ -7,9 +7,9 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "bench/trace_support.h"
 #include "bench/workload_runner.h"
+#include "obs/json.h"
 #include "tools/flags.h"
 
 namespace speedkit {
@@ -32,7 +32,7 @@ bench::RunSpec BaseSpec() {
 }
 
 
-void SkewSweep(bench::JsonValue* rows) {
+void SkewSweep(obs::JsonValue* rows) {
   bench::PrintSection("share of requests per layer vs Zipf skew (4 edges)");
   bench::Row("%6s %10s %10s %10s %10s %12s", "skew", "browser", "edge",
              "origin", "reval304", "p50_ms");
@@ -47,7 +47,7 @@ void SkewSweep(bench::JsonValue* rows) {
                100.0 * p.origin_fetches / n,
                100.0 * p.revalidations_304 / n,
                out.traffic.all_latency_us.P50() / 1e3);
-    rows->Push(bench::JsonRow(
+    rows->Push(obs::JsonRow(
         {{"section", "skew_sweep"},
          {"skew", skew},
          {"browser_share", p.browser_hits / n},
@@ -58,7 +58,7 @@ void SkewSweep(bench::JsonValue* rows) {
   }
 }
 
-void EdgeCountSweep(bench::JsonValue* rows) {
+void EdgeCountSweep(obs::JsonValue* rows) {
   bench::PrintSection("edge fan-out: per-layer shares vs number of edges");
   bench::Row("%6s %10s %10s %10s %12s", "edges", "browser", "edge", "origin",
              "p50_ms");
@@ -80,7 +80,7 @@ void EdgeCountSweep(bench::JsonValue* rows) {
                100.0 * p.browser_hits / n, 100.0 * p.edge_hits / n,
                100.0 * p.origin_fetches / n,
                out.traffic.all_latency_us.P50() / 1e3);
-    rows->Push(bench::JsonRow(
+    rows->Push(obs::JsonRow(
         {{"section", "edge_count_sweep"},
          {"edges", edges},
          {"browser_share", p.browser_hits / n},
@@ -92,7 +92,7 @@ void EdgeCountSweep(bench::JsonValue* rows) {
               "origin share grows (classic CDN cache dilution)");
 }
 
-void CatalogSizeSweep(bench::JsonValue* rows) {
+void CatalogSizeSweep(obs::JsonValue* rows) {
   bench::PrintSection("working-set pressure: shares vs catalog size");
   bench::Row("%10s %10s %10s %10s", "products", "browser", "edge", "origin");
   for (size_t products : {500u, 2000u, 10000u, 50000u}) {
@@ -105,7 +105,7 @@ void CatalogSizeSweep(bench::JsonValue* rows) {
     bench::Row("%10zu %9.1f%% %9.1f%% %9.1f%%", products,
                100.0 * p.browser_hits / n, 100.0 * p.edge_hits / n,
                100.0 * p.origin_fetches / n);
-    rows->Push(bench::JsonRow(
+    rows->Push(obs::JsonRow(
         {{"section", "catalog_size_sweep"},
          {"products", static_cast<uint64_t>(products)},
          {"browser_share", p.browser_hits / n},
@@ -127,20 +127,21 @@ int main(int argc, char** argv) {
       flags.GetString("json", ""), "hit_layers");
   std::string trace_path = speedkit::bench::TracePathFromFlag(
       flags.GetString("trace", ""), "hit_layers");
+  flags.RejectUnknown();
 
   speedkit::bench::PrintHeader(
       "E4", "Requests served per cache layer",
       "the polyglot architecture's layered hit ratios (browser -> CDN -> "
       "origin)");
-  speedkit::bench::JsonValue rows = speedkit::bench::JsonValue::Array();
+  speedkit::obs::JsonValue rows = speedkit::obs::JsonValue::Array();
   speedkit::SkewSweep(&rows);
   speedkit::EdgeCountSweep(&rows);
   speedkit::CatalogSizeSweep(&rows);
   if (!json_path.empty()) {
-    speedkit::bench::JsonValue root = speedkit::bench::JsonValue::Object();
+    speedkit::obs::JsonValue root = speedkit::obs::JsonValue::Object();
     root.Set("bench", "hit_layers");
     root.Set("rows", std::move(rows));
-    speedkit::bench::WriteJsonFile(json_path, root);
+    speedkit::obs::WriteJsonFile(json_path, root);
   }
   speedkit::bench::RunSpec trace_spec = speedkit::bench::DefaultRunSpec();
   trace_spec.traffic.session.product_skew = 0.9;

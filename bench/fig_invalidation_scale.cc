@@ -10,12 +10,12 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "coherence/delta_atomic.h"
 #include "common/histogram.h"
 #include "common/random.h"
 #include "invalidation/pipeline.h"
 #include "invalidation/query_matcher.h"
+#include "obs/json.h"
 #include "tools/flags.h"
 
 namespace speedkit {
@@ -73,7 +73,7 @@ double MeasureWritesPerSec(invalidation::QueryMatcher* matcher, int writes,
   return writes / secs;
 }
 
-void ThroughputSweep(bench::JsonValue* rows) {
+void ThroughputSweep(obs::JsonValue* rows) {
   bench::PrintSection(
       "matching throughput (writes/s) vs subscriptions; 200 categories");
   bench::Row("%14s %14s %14s %14s", "subscriptions", "indexed_p4",
@@ -93,11 +93,11 @@ void ThroughputSweep(bench::JsonValue* rows) {
     double fullscan_p4 = MeasureWritesPerSec(&scan4, scan_writes, kCategories);
     bench::Row("%14zu %14.0f %14.0f %14.0f", subs, indexed_p4, indexed_p1,
                fullscan_p4);
-    rows->Push(bench::JsonRow({{"section", "matching_throughput"},
-                               {"subscriptions", static_cast<uint64_t>(subs)},
-                               {"indexed_p4_writes_per_s", indexed_p4},
-                               {"indexed_p1_writes_per_s", indexed_p1},
-                               {"fullscan_p4_writes_per_s", fullscan_p4}}));
+    rows->Push(obs::JsonRow({{"section", "matching_throughput"},
+                             {"subscriptions", static_cast<uint64_t>(subs)},
+                             {"indexed_p4_writes_per_s", indexed_p4},
+                             {"indexed_p1_writes_per_s", indexed_p1},
+                             {"fullscan_p4_writes_per_s", fullscan_p4}}));
   }
   bench::Note("the index prunes equality subscriptions to ~n/200 probes; "
               "the residual cost is the un-indexable range subscriptions "
@@ -105,7 +105,7 @@ void ThroughputSweep(bench::JsonValue* rows) {
               "partitions");
 }
 
-void PurgePropagation(bench::JsonValue* rows) {
+void PurgePropagation(obs::JsonValue* rows) {
   bench::PrintSection("purge propagation latency (write -> last edge clean)");
   bench::Row("%8s %14s %14s %14s", "edges", "p50_ms", "p99_ms", "max_ms");
   for (int edges : {2, 4, 8, 16, 32}) {
@@ -127,11 +127,11 @@ void PurgePropagation(bench::JsonValue* rows) {
     const Histogram& h = pipeline.propagation_latency_us();
     bench::Row("%8d %14.1f %14.1f %14.1f", edges, h.P50() / 1e3, h.P99() / 1e3,
                h.max() / 1e3);
-    rows->Push(bench::JsonRow({{"section", "purge_propagation"},
-                               {"edges", edges},
-                               {"p50_ms", h.P50() / 1e3},
-                               {"p99_ms", h.P99() / 1e3},
-                               {"max_ms", h.max() / 1e3}}));
+    rows->Push(obs::JsonRow({{"section", "purge_propagation"},
+                             {"edges", edges},
+                             {"p50_ms", h.P50() / 1e3},
+                             {"p99_ms", h.P99() / 1e3},
+                             {"max_ms", h.max() / 1e3}}));
   }
   bench::Note("latency is max over edges: grows ~logarithmically with edge "
               "count under lognormal per-edge jitter");
@@ -144,19 +144,20 @@ int main(int argc, char** argv) {
   speedkit::tools::Flags flags(argc, argv);
   std::string json_path = speedkit::bench::JsonPathFromFlag(
       flags.GetString("json", ""), "invalidation_scale");
+  flags.RejectUnknown();
 
   speedkit::bench::PrintHeader(
       "E6", "Invalidation pipeline scalability",
       "InvaliDB-style real-time query matching + CDN purge fan-out that "
       "the coherence protocol rides on");
-  speedkit::bench::JsonValue rows = speedkit::bench::JsonValue::Array();
+  speedkit::obs::JsonValue rows = speedkit::obs::JsonValue::Array();
   speedkit::ThroughputSweep(&rows);
   speedkit::PurgePropagation(&rows);
   if (!json_path.empty()) {
-    speedkit::bench::JsonValue root = speedkit::bench::JsonValue::Object();
+    speedkit::obs::JsonValue root = speedkit::obs::JsonValue::Object();
     root.Set("bench", "invalidation_scale");
     root.Set("rows", std::move(rows));
-    speedkit::bench::WriteJsonFile(json_path, root);
+    speedkit::obs::WriteJsonFile(json_path, root);
   }
   return 0;
 }

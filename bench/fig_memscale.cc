@@ -30,9 +30,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "bench/mem_probe.h"
 #include "bench/workload_runner.h"
+#include "obs/json.h"
 #include "tools/flags.h"
 
 namespace speedkit {
@@ -205,6 +205,7 @@ int main(int argc, char** argv) {
   double budget = flags.GetDouble("max-bytes-per-client", EnvBytesBudget());
   std::string json_path = bench::JsonPathFromFlag(
       flags.GetString("json", ""), "memscale");
+  flags.RejectUnknown();
 
   bench::PrintHeader(
       "E16", "Fleet memory scaling and bytes-per-client gate",
@@ -221,7 +222,7 @@ int main(int argc, char** argv) {
              "frozen_kb");
 
   std::vector<MemPoint> points;
-  bench::JsonValue rows = bench::JsonValue::Array();
+  obs::JsonValue rows = obs::JsonValue::Array();
   for (size_t clients : client_counts) {
     MemPoint p = Measure(
         MemScaleSpec(clients, duration_min, proxy::SpillMode::kAuto));
@@ -233,7 +234,7 @@ int main(int argc, char** argv) {
                p.spill.frozen_bytes / 1024.0);
     char fp[24];
     std::snprintf(fp, sizeof(fp), "%016" PRIx64, p.fingerprint);
-    rows.Push(bench::JsonRow(
+    rows.Push(obs::JsonRow(
         {{"clients", static_cast<uint64_t>(p.clients)},
          {"wall_seconds", p.wall_seconds},
          {"requests", p.requests},
@@ -267,7 +268,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    bench::JsonValue root = bench::JsonValue::Object();
+    obs::JsonValue root = obs::JsonValue::Object();
     root.Set("bench", "memscale");
     root.Set("duration_minutes", duration_min);
     root.Set("heap_probe_available", bench::HeapProbeAvailable());
@@ -275,7 +276,7 @@ int main(int argc, char** argv) {
     root.Set("memory_gate", mem_gate.status);
     root.Set("spill_gate", spill_gate.status);
     root.Set("rows", std::move(rows));
-    bench::WriteJsonFile(json_path, root);
+    obs::WriteJsonFile(json_path, root);
   }
 
   bench::Note(

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "core/stack.h"
+#include "obs/json.h"
 #include "tools/flags.h"
 #include "workload/session.h"
 
@@ -97,7 +97,7 @@ OutageResult RunOutage(bool speed_kit_on, Duration warm, Duration outage,
   return result;
 }
 
-void OutageSweep(bench::JsonValue* rows) {
+void OutageSweep(obs::JsonValue* rows) {
   bench::PrintSection(
       "request success rate during a 10-minute origin outage");
   bench::Row("%14s %14s %14s %14s %16s", "revisit_share", "vanilla_ok",
@@ -111,12 +111,12 @@ void OutageSweep(bench::JsonValue* rows) {
                vanilla.SuccessRate() * 100, sk.SuccessRate() * 100,
                static_cast<unsigned long long>(sk.offline_serves),
                static_cast<unsigned long long>(sk.requests));
-    rows->Push(bench::JsonRow({{"section", "outage"},
-                               {"revisit_share", revisit},
-                               {"vanilla_success_rate", vanilla.SuccessRate()},
-                               {"speedkit_success_rate", sk.SuccessRate()},
-                               {"offline_serves", sk.offline_serves},
-                               {"outage_requests", sk.requests}}));
+    rows->Push(obs::JsonRow({{"section", "outage"},
+                             {"revisit_share", revisit},
+                             {"vanilla_success_rate", vanilla.SuccessRate()},
+                             {"speedkit_success_rate", sk.SuccessRate()},
+                             {"offline_serves", sk.offline_serves},
+                             {"outage_requests", sk.requests}}));
   }
   bench::Note("the vanilla arm only succeeds while its browser copies are "
               "still within TTL; speed kit serves anything ever seen");
@@ -129,18 +129,19 @@ int main(int argc, char** argv) {
   speedkit::tools::Flags flags(argc, argv);
   std::string json_path = speedkit::bench::JsonPathFromFlag(
       flags.GetString("json", ""), "offline");
+  flags.RejectUnknown();
 
   speedkit::bench::PrintHeader(
       "E11", "Offline mode: availability during origin outages",
       "field-experience resilience claim (service worker keeps the site "
       "usable)");
-  speedkit::bench::JsonValue rows = speedkit::bench::JsonValue::Array();
+  speedkit::obs::JsonValue rows = speedkit::obs::JsonValue::Array();
   speedkit::OutageSweep(&rows);
   if (!json_path.empty()) {
-    speedkit::bench::JsonValue root = speedkit::bench::JsonValue::Object();
+    speedkit::obs::JsonValue root = speedkit::obs::JsonValue::Object();
     root.Set("bench", "offline");
     root.Set("rows", std::move(rows));
-    speedkit::bench::WriteJsonFile(json_path, root);
+    speedkit::obs::WriteJsonFile(json_path, root);
   }
   return 0;
 }

@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "core/bounce.h"
 #include "core/page_load.h"
 #include "core/stack.h"
+#include "obs/json.h"
 #include "tools/flags.h"
 #include "workload/session.h"
 #include "workload/write_process.h"
@@ -221,8 +221,8 @@ ArmResult RunArm(const Profile& profile, bool speed_kit_on, bool mobile) {
   return result;
 }
 
-bench::JsonValue JsonArm(const ArmResult& r) {
-  return bench::JsonRow(
+obs::JsonValue JsonArm(const ArmResult& r) {
+  return obs::JsonRow(
       {{"p50_ms", r.load_ms.P50()},
        {"p90_ms", r.load_ms.P90()},
        {"p99_ms", r.load_ms.P99()},
@@ -234,7 +234,7 @@ bench::JsonValue JsonArm(const ArmResult& r) {
        {"page_views", r.page_views}});
 }
 
-void RunProfile(const Profile& profile, bool mobile, bench::JsonValue* rows) {
+void RunProfile(const Profile& profile, bool mobile, obs::JsonValue* rows) {
   bench::PrintSection("customer profile: " + profile.name +
                       (mobile ? " (mobile network)" : " (broadband)"));
   ArmResult off = RunArm(profile, /*speed_kit_on=*/false, mobile);
@@ -264,7 +264,7 @@ void RunProfile(const Profile& profile, bool mobile, bench::JsonValue* rows) {
                  std::max<int64_t>(1, on.load_ms.P99()),
              static_cast<double>(off.ttfb_ms.P50()) /
                  std::max<int64_t>(1, on.ttfb_ms.P50()));
-  bench::JsonValue row = bench::JsonRow(
+  obs::JsonValue row = obs::JsonRow(
       {{"profile", profile.name},
        {"network", mobile ? "mobile" : "broadband"},
        {"p50_speedup", static_cast<double>(off.load_ms.P50()) /
@@ -283,12 +283,13 @@ int main(int argc, char** argv) {
   speedkit::tools::Flags flags(argc, argv);
   std::string json_path = speedkit::bench::JsonPathFromFlag(
       flags.GetString("json", ""), "pageload_ab");
+  flags.RejectUnknown();
 
   speedkit::bench::PrintHeader(
       "E5", "Page load time A/B: Speed Kit on vs off",
       "the paper's headline field experience (faster loads on real "
       "e-commerce traffic, GDPR-compliant personalization intact)");
-  speedkit::bench::JsonValue rows = speedkit::bench::JsonValue::Array();
+  speedkit::obs::JsonValue rows = speedkit::obs::JsonValue::Array();
   for (const auto& profile : speedkit::kProfiles) {
     speedkit::RunProfile(profile, /*mobile=*/false, &rows);
   }
@@ -296,10 +297,10 @@ int main(int argc, char** argv) {
     speedkit::RunProfile(profile, /*mobile=*/true, &rows);
   }
   if (!json_path.empty()) {
-    speedkit::bench::JsonValue root = speedkit::bench::JsonValue::Object();
+    speedkit::obs::JsonValue root = speedkit::obs::JsonValue::Object();
     root.Set("bench", "pageload_ab");
     root.Set("rows", std::move(rows));
-    speedkit::bench::WriteJsonFile(json_path, root);
+    speedkit::obs::WriteJsonFile(json_path, root);
   }
   speedkit::bench::Note(
       "expected shape: speed-kit wins at every percentile; pii_leaks must "

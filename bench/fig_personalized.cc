@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "core/stack.h"
+#include "obs/json.h"
 #include "tools/flags.h"
 
 namespace speedkit {
@@ -82,7 +82,7 @@ BlockRunResult RunBlocks(double user_share, int segments, bool gdpr_mode,
   return result;
 }
 
-void UserShareSweep(bench::JsonValue* rows) {
+void UserShareSweep(obs::JsonValue* rows) {
   bench::PrintSection(
       "cache hits on block fetches vs user-scoped share (64 segments, "
       "200 users, GDPR mode vs legacy)");
@@ -95,12 +95,12 @@ void UserShareSweep(bench::JsonValue* rows) {
                gdpr.cache_hit_share * 100, gdpr.mean_latency.millis(),
                legacy.cache_hit_share * 100,
                static_cast<unsigned long long>(legacy.pii_violations));
-    rows->Push(bench::JsonRow({{"section", "user_share"},
-                               {"user_share", share},
-                               {"gdpr_hit_share", gdpr.cache_hit_share},
-                               {"gdpr_latency_ms", gdpr.mean_latency.millis()},
-                               {"legacy_hit_share", legacy.cache_hit_share},
-                               {"legacy_pii_violations",
+    rows->Push(obs::JsonRow({{"section", "user_share"},
+                             {"user_share", share},
+                             {"gdpr_hit_share", gdpr.cache_hit_share},
+                             {"gdpr_latency_ms", gdpr.mean_latency.millis()},
+                             {"legacy_hit_share", legacy.cache_hit_share},
+                             {"legacy_pii_violations",
                                 legacy.pii_violations}}));
   }
   bench::Note("GDPR mode keeps hit share high even at 100% user-scoped "
@@ -108,7 +108,7 @@ void UserShareSweep(bench::JsonValue* rows) {
               "and leaks identity on every user-block fetch");
 }
 
-void SegmentCountSweep(bench::JsonValue* rows) {
+void SegmentCountSweep(obs::JsonValue* rows) {
   bench::PrintSection(
       "segment blocks: cache hits vs cohort count (0% user share, "
       "200 users)");
@@ -118,10 +118,10 @@ void SegmentCountSweep(bench::JsonValue* rows) {
     personalization::Segmenter seg(segments);
     bench::Row("%10d %13.1f%% %16.1f", segments, r.cache_hit_share * 100,
                seg.IdentityBits());
-    rows->Push(bench::JsonRow({{"section", "segment_count"},
-                               {"segments", segments},
-                               {"hit_share", r.cache_hit_share},
-                               {"identity_bits", seg.IdentityBits()}}));
+    rows->Push(obs::JsonRow({{"section", "segment_count"},
+                             {"segments", segments},
+                             {"hit_share", r.cache_hit_share},
+                             {"identity_bits", seg.IdentityBits()}}));
   }
   bench::Note("more segments = more personalization but fewer shared "
               "fragments (hit share drops) and more identity bits: the "
@@ -135,19 +135,20 @@ int main(int argc, char** argv) {
   speedkit::tools::Flags flags(argc, argv);
   std::string json_path = speedkit::bench::JsonPathFromFlag(
       flags.GetString("json", ""), "personalized");
+  flags.RejectUnknown();
 
   speedkit::bench::PrintHeader(
       "E7", "Caching personalized content: dynamic blocks & GDPR mode",
       "the paper's personalization pillar (segment/user block split, "
       "on-device join, zero PII egress)");
-  speedkit::bench::JsonValue rows = speedkit::bench::JsonValue::Array();
+  speedkit::obs::JsonValue rows = speedkit::obs::JsonValue::Array();
   speedkit::UserShareSweep(&rows);
   speedkit::SegmentCountSweep(&rows);
   if (!json_path.empty()) {
-    speedkit::bench::JsonValue root = speedkit::bench::JsonValue::Object();
+    speedkit::obs::JsonValue root = speedkit::obs::JsonValue::Object();
     root.Set("bench", "personalized");
     root.Set("rows", std::move(rows));
-    speedkit::bench::WriteJsonFile(json_path, root);
+    speedkit::obs::WriteJsonFile(json_path, root);
   }
   return 0;
 }

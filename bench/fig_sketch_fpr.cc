@@ -9,7 +9,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
+#include "obs/json.h"
 #include "sketch/bloom_filter.h"
 #include "tools/flags.h"
 
@@ -38,7 +38,7 @@ double AnalyticFpr(size_t bits, int k, size_t n) {
   return std::pow(1.0 - std::exp(exponent), k);
 }
 
-void SweepBitsPerKey(bench::JsonValue* rows) {
+void SweepBitsPerKey(obs::JsonValue* rows) {
   bench::PrintSection("FPR vs bits/entry (k = optimal), n stale entries");
   bench::Row("%8s %10s %4s %12s %12s %12s", "n", "bits/key", "k", "measured",
              "analytic", "snapshot_B");
@@ -52,7 +52,7 @@ void SweepBitsPerKey(bench::JsonValue* rows) {
       double analytic = AnalyticFpr(filter.bits(), k, n);
       bench::Row("%8zu %10d %4d %11.4f%% %11.4f%% %12zu", n, bits_per_key, k,
                  measured * 100, analytic * 100, filter.SizeBytes() + 8);
-      rows->Push(bench::JsonRow(
+      rows->Push(obs::JsonRow(
           {{"section", "bits_per_key"},
            {"n", static_cast<uint64_t>(n)},
            {"bits_per_key", bits_per_key},
@@ -64,7 +64,7 @@ void SweepBitsPerKey(bench::JsonValue* rows) {
   }
 }
 
-void SweepHashCount(bench::JsonValue* rows) {
+void SweepHashCount(obs::JsonValue* rows) {
   bench::PrintSection("FPR vs hash count at fixed 10 bits/entry (n=10000)");
   constexpr size_t kN = 10000;
   constexpr size_t kBits = kN * 10;
@@ -75,15 +75,15 @@ void SweepHashCount(bench::JsonValue* rows) {
     double measured = MeasureFpr(filter, kN, 200000);
     double analytic = AnalyticFpr(filter.bits(), k, kN);
     bench::Row("%4d %11.4f%% %11.4f%%", k, measured * 100, analytic * 100);
-    rows->Push(bench::JsonRow({{"section", "hash_count"},
-                               {"k", k},
-                               {"measured_fpr", measured},
-                               {"analytic_fpr", analytic}}));
+    rows->Push(obs::JsonRow({{"section", "hash_count"},
+                             {"k", k},
+                             {"measured_fpr", measured},
+                             {"analytic_fpr", analytic}}));
   }
   bench::Note("minimum should fall near k = 10 * ln2 ~ 7");
 }
 
-void SweepTargetFpr(bench::JsonValue* rows) {
+void SweepTargetFpr(obs::JsonValue* rows) {
   bench::PrintSection("auto-sizing ForCapacity(n, p): achieved vs requested");
   bench::Row("%8s %10s %12s %12s %12s", "n", "target", "measured", "bits/key",
              "snapshot_B");
@@ -95,7 +95,7 @@ void SweepTargetFpr(bench::JsonValue* rows) {
       bench::Row("%8zu %9.3f%% %11.4f%% %12.1f %12zu", n, p * 100,
                  measured * 100, static_cast<double>(filter.bits()) / n,
                  filter.SizeBytes() + 8);
-      rows->Push(bench::JsonRow(
+      rows->Push(obs::JsonRow(
           {{"section", "target_fpr"},
            {"n", static_cast<uint64_t>(n)},
            {"target_fpr", p},
@@ -113,20 +113,21 @@ int main(int argc, char** argv) {
   speedkit::tools::Flags flags(argc, argv);
   std::string json_path = speedkit::bench::JsonPathFromFlag(
       flags.GetString("json", ""), "sketch_fpr");
+  flags.RejectUnknown();
 
   speedkit::bench::PrintHeader(
       "E1", "Cache Sketch false-positive rate vs sizing",
       "Bloom-filter dimensioning of the Cache Sketch (coherence protocol "
       "overhead knob)");
-  speedkit::bench::JsonValue rows = speedkit::bench::JsonValue::Array();
+  speedkit::obs::JsonValue rows = speedkit::obs::JsonValue::Array();
   speedkit::SweepBitsPerKey(&rows);
   speedkit::SweepHashCount(&rows);
   speedkit::SweepTargetFpr(&rows);
   if (!json_path.empty()) {
-    speedkit::bench::JsonValue root = speedkit::bench::JsonValue::Object();
+    speedkit::obs::JsonValue root = speedkit::obs::JsonValue::Object();
     root.Set("bench", "sketch_fpr");
     root.Set("rows", std::move(rows));
-    speedkit::bench::WriteJsonFile(json_path, root);
+    speedkit::obs::WriteJsonFile(json_path, root);
   }
   return 0;
 }

@@ -22,12 +22,12 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "common/random.h"
 #include "core/stack.h"
 #include "http/url.h"
 #include "net/edged_server.h"
 #include "net/loadgen.h"
+#include "obs/json.h"
 #include "proxy/client_pool.h"
 #include "proxy/client_proxy.h"
 #include "tools/flags.h"
@@ -117,6 +117,7 @@ SimReplay ReplayInSim(const speedkit::core::StackConfig& stack_config,
 int main(int argc, char** argv) {
   namespace bench = speedkit::bench;
   namespace net = speedkit::net;
+  namespace obs = speedkit::obs;
   speedkit::tools::Flags flags(argc, argv);
 
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
@@ -130,6 +131,7 @@ int main(int argc, char** argv) {
   const double zipf_s = flags.GetDouble("zipf", 0.95);
   const std::string json_path =
       bench::JsonPathFromFlag(flags.GetString("json", ""), "socketed");
+  flags.RejectUnknown();
 
   bench::PrintHeader(
       "E17", "socketed edge vs. simulator prediction",
@@ -268,7 +270,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    bench::JsonValue root = bench::JsonValue::Object();
+    obs::JsonValue root = obs::JsonValue::Object();
     root.Set("bench", "socketed");
     root.Set("seed", static_cast<int64_t>(seed));
     root.Set("workers", static_cast<int64_t>(workers));
@@ -276,7 +278,7 @@ int main(int argc, char** argv) {
     root.Set("products", static_cast<int64_t>(products));
     root.Set("hot_products", static_cast<int64_t>(hot_products));
     root.Set("zipf_s", zipf_s);
-    bench::JsonValue socket_row = bench::JsonValue::Object();
+    obs::JsonValue socket_row = obs::JsonValue::Object();
     socket_row.Set("responses",
                    static_cast<int64_t>(socket_report.responses));
     socket_row.Set("transport_errors",
@@ -295,7 +297,7 @@ int main(int argc, char** argv) {
     socket_row.Set("predicted_p50_us",
                    static_cast<int64_t>(socket_report.predicted_us.P50()));
     root.Set("socket", std::move(socket_row));
-    bench::JsonValue sim_row = bench::JsonValue::Object();
+    obs::JsonValue sim_row = obs::JsonValue::Object();
     sim_row.Set("requests", static_cast<int64_t>(sim.requests));
     sim_row.Set("hit_rate", sim_hit);
     sim_row.Set("flight_joins", static_cast<int64_t>(sim.flight_joins));
@@ -307,7 +309,7 @@ int main(int argc, char** argv) {
     root.Set("hit_gap", hit_gap);
     root.Set("max_hit_gap", max_gap);
     root.Set("gate", ok ? std::string("ok") : std::string("FAIL"));
-    bench::WriteJsonFile(json_path, root);
+    obs::WriteJsonFile(json_path, root);
   }
 
   bench::Note(

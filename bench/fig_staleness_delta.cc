@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "bench/parallel_runner.h"
 #include "bench/trace_support.h"
+#include "obs/json.h"
 #include "tools/flags.h"
 
 namespace speedkit {
@@ -71,12 +71,12 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
 
   bench::SweepResult sweep = bench::RunSweep(configs, num_seeds, sweep_threads);
 
-  bench::JsonValue root = bench::JsonValue::Object();
+  obs::JsonValue root = obs::JsonValue::Object();
   root.Set("bench", "staleness_delta");
   root.Set("seeds", num_seeds);
   root.Set("threads", threads);
   root.Set("shards", shards);
-  bench::JsonValue rows = bench::JsonValue::Array();
+  obs::JsonValue rows = obs::JsonValue::Array();
 
   bench::PrintSection(
       "staleness vs delta (fixed 120s TTLs, 3 writes/s, 25 clients, 20min)");
@@ -97,7 +97,7 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
                out.staleness_us.P99() / 1e6, delta_s,
                static_cast<unsigned long long>(
                    out.traffic.proxies.sketch_bypasses));
-    bench::JsonValue row = bench::JsonRow(
+    obs::JsonValue row = obs::JsonRow(
         {{"section", "delta_sweep"},
          {"delta_s", delta_s},
          {"reads", out.staleness.reads},
@@ -122,7 +122,7 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
                static_cast<unsigned long long>(out.staleness.reads),
                out.staleness.StaleFraction() * 100,
                out.staleness.max_staleness.seconds());
-    rows.Push(bench::JsonRow(
+    rows.Push(obs::JsonRow(
         {{"section", "no_sketch_baseline"},
          {"ttl_s", ttl_s},
          {"reads", out.staleness.reads},
@@ -141,7 +141,7 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
                static_cast<unsigned long long>(out.staleness.reads),
                out.staleness.StaleFraction() * 100,
                out.staleness.max_staleness.seconds(), out.sketch_entries);
-    rows.Push(bench::JsonRow(
+    rows.Push(obs::JsonRow(
         {{"section", "write_rate_sensitivity"},
          {"writes_per_sec", rate},
          {"reads", out.staleness.reads},
@@ -155,7 +155,7 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
   root.Set("wall_seconds", sweep.wall_seconds);
   root.Set("cpu_seconds", sweep.cpu_seconds);
   root.Set("speedup", sweep.Speedup());
-  if (!json_path.empty()) bench::WriteJsonFile(json_path, root);
+  if (!json_path.empty()) obs::WriteJsonFile(json_path, root);
 
   bench::MaybeTraceRun(configs[0], "staleness_delta", trace_path);
 }
@@ -174,6 +174,7 @@ int main(int argc, char** argv) {
       flags.GetString("json", ""), "staleness_delta");
   std::string trace_path = speedkit::bench::TracePathFromFlag(
       flags.GetString("trace", ""), "staleness_delta");
+  flags.RejectUnknown();
 
   speedkit::bench::PrintHeader(
       "E2", "Delta-atomicity: staleness bound vs sketch refresh interval",

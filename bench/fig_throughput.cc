@@ -29,9 +29,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "bench/workload_runner.h"
 #include "common/thread_pool.h"
+#include "obs/json.h"
 #include "tools/flags.h"
 
 namespace speedkit {
@@ -142,14 +142,14 @@ bool Run(const bench::RunSpec& base, const std::vector<int>& thread_counts,
 
   bool invariant = true;
   const ThroughputPoint& first = points.front();
-  bench::JsonValue rows = bench::JsonValue::Array();
+  obs::JsonValue rows = obs::JsonValue::Array();
   for (const ThroughputPoint& p : points) {
     char fp[24];
     std::snprintf(fp, sizeof(fp), "%016" PRIx64, p.fingerprint);
     bench::Row("%8d %12.2f %14.0f %11.2fx %18s", p.threads, p.wall_seconds,
                p.requests_per_sec, p.requests_per_sec / first.requests_per_sec,
                fp);
-    rows.Push(bench::JsonRow(
+    rows.Push(obs::JsonRow(
         {{"threads", p.threads},
          {"wall_seconds", p.wall_seconds},
          {"requests", p.requests},
@@ -178,7 +178,7 @@ bool Run(const bench::RunSpec& base, const std::vector<int>& thread_counts,
   }
 
   if (!json_path.empty()) {
-    bench::JsonValue root = bench::JsonValue::Object();
+    obs::JsonValue root = obs::JsonValue::Object();
     root.Set("bench", "throughput");
     // The workload spec, so stored trajectories are comparable across PRs.
     root.Set("shards", base.stack.shards);
@@ -192,7 +192,7 @@ bool Run(const bench::RunSpec& base, const std::vector<int>& thread_counts,
     root.Set("min_speedup_required", min_speedup);
     root.Set("speedup_gate", scaling.status);
     root.Set("rows", std::move(rows));
-    bench::WriteJsonFile(json_path, root);
+    obs::WriteJsonFile(json_path, root);
   }
   return invariant && scaling.ok;
 }
@@ -220,6 +220,7 @@ int main(int argc, char** argv) {
   int gate_threads = static_cast<int>(flags.GetInt("speedup-threads", 4));
   std::string json_path = speedkit::bench::JsonPathFromFlag(
       flags.GetString("json", ""), "throughput");
+  flags.RejectUnknown();
 
   std::vector<int> thread_counts;
   for (int t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);

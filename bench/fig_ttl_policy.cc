@@ -14,9 +14,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "bench/parallel_runner.h"
 #include "bench/trace_support.h"
+#include "obs/json.h"
 #include "tools/flags.h"
 
 namespace speedkit {
@@ -86,12 +86,12 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
 
   bench::SweepResult sweep = bench::RunSweep(configs, num_seeds, sweep_threads);
 
-  bench::JsonValue root = bench::JsonValue::Object();
+  obs::JsonValue root = obs::JsonValue::Object();
   root.Set("bench", "ttl_policy");
   root.Set("seeds", num_seeds);
   root.Set("threads", threads);
   root.Set("shards", shards);
-  bench::JsonValue rows = bench::JsonValue::Array();
+  obs::JsonValue rows = obs::JsonValue::Array();
 
   size_t config_index = 0;
   for (const WorkloadPoint& workload : workloads) {
@@ -119,7 +119,7 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
                      out.traffic.proxies.revalidations_304),
                  out.sketch_entries);
 
-      bench::JsonValue row = bench::JsonRow(
+      obs::JsonValue row = obs::JsonRow(
           {{"workload", workload.name},
            {"read_skew", workload.read_skew},
            {"writes_per_sec", workload.writes_per_sec},
@@ -142,7 +142,7 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
   root.Set("wall_seconds", sweep.wall_seconds);
   root.Set("cpu_seconds", sweep.cpu_seconds);
   root.Set("speedup", sweep.Speedup());
-  if (!json_path.empty()) bench::WriteJsonFile(json_path, root);
+  if (!json_path.empty()) obs::WriteJsonFile(json_path, root);
 
   bench::MaybeTraceRun(configs[0], "ttl_policy", trace_path);
 }
@@ -161,6 +161,7 @@ int main(int argc, char** argv) {
       flags.GetString("json", ""), "ttl_policy");
   std::string trace_path = speedkit::bench::TracePathFromFlag(
       flags.GetString("trace", ""), "ttl_policy");
+  flags.RejectUnknown();
 
   speedkit::bench::PrintHeader(
       "E3", "TTL policy: latency & hit ratio vs cache-lifetime strategy",

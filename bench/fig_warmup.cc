@@ -7,9 +7,9 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "bench/trace_support.h"
 #include "bench/workload_runner.h"
+#include "obs/json.h"
 #include "tools/flags.h"
 
 namespace speedkit {
@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
       flags.GetString("json", ""), "warmup");
   std::string trace_path = speedkit::bench::TracePathFromFlag(
       flags.GetString("trace", ""), "warmup");
+  flags.RejectUnknown();
 
   speedkit::bench::PrintHeader(
       "E13", "Cache warm-up timeline (per-minute hit ratio & latency)",
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
   speedkit::bench::Row("%8s %10s %10s %10s %10s %12s %12s", "minute",
                        "sk_hit", "cdn_hit", "sk_stale", "cdn_stale",
                        "sk_lat_ms", "cdn_lat_ms");
-  speedkit::bench::JsonValue rows = speedkit::bench::JsonValue::Array();
+  speedkit::obs::JsonValue rows = speedkit::obs::JsonValue::Array();
   size_t minutes =
       std::max(sk.hit_ratio_timeline.num_buckets(),
                cdn.hit_ratio_timeline.num_buckets());
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
                          cdn.stale_timeline.MeanAt(m) * 100,
                          sk.latency_ms_timeline.MeanAt(m),
                          cdn.latency_ms_timeline.MeanAt(m));
-    rows.Push(speedkit::bench::JsonRow(
+    rows.Push(speedkit::obs::JsonRow(
         {{"minute", static_cast<uint64_t>(m)},
          {"sk_hit_ratio", sk.hit_ratio_timeline.MeanAt(m)},
          {"cdn_hit_ratio", cdn.hit_ratio_timeline.MeanAt(m)},
@@ -94,10 +95,10 @@ int main(int argc, char** argv) {
          {"cdn_latency_ms", cdn.latency_ms_timeline.MeanAt(m)}}));
   }
   if (!json_path.empty()) {
-    speedkit::bench::JsonValue root = speedkit::bench::JsonValue::Object();
+    speedkit::obs::JsonValue root = speedkit::obs::JsonValue::Object();
     root.Set("bench", "warmup");
     root.Set("rows", std::move(rows));
-    speedkit::bench::WriteJsonFile(json_path, root);
+    speedkit::obs::WriteJsonFile(json_path, root);
   }
   speedkit::bench::Note(
       "the baseline's nominally-higher hit ratio is bought with stale "

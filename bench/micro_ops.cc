@@ -3,7 +3,6 @@
 // intercepted request (the client proxy's overhead budget).
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -15,7 +14,6 @@
 #include "http/cache_control.h"
 #include "http/url.h"
 #include "invalidation/query_matcher.h"
-#include "sketch/blocked_bloom.h"
 #include "sketch/bloom_filter.h"
 #include "sketch/cache_sketch.h"
 #include "sketch/client_sketch.h"
@@ -148,43 +146,6 @@ void BM_CacheControlParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheControlParse);
-
-// Scalar probe of the cache-line blocked filter: one memory access per
-// probe vs k random lines for the plain BloomFilter above (same sizing as
-// BM_BloomQuery for a direct comparison).
-void BM_BlockedBloomProbeScalar(benchmark::State& state) {
-  sketch::BlockedBloomFilter filter(1 << 20, static_cast<int>(state.range(0)));
-  for (size_t i = 0; i < 100000; ++i) filter.Add(Key(i));
-  std::vector<std::string> keys;
-  keys.reserve(4096);
-  for (size_t i = 0; i < 4096; ++i) keys.push_back(Key(i * 37));
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(filter.MightContain(keys[i++ % keys.size()]));
-  }
-}
-BENCHMARK(BM_BlockedBloomProbeScalar)->Arg(4)->Arg(7)->Arg(12);
-
-// Batched probe: hash+prefetch pass then probe pass. items_processed makes
-// the per-key rate comparable with the scalar probe's per-iteration time.
-void BM_BlockedBloomProbeBatch(benchmark::State& state) {
-  sketch::BlockedBloomFilter filter(1 << 20, 7);
-  for (size_t i = 0; i < 100000; ++i) filter.Add(Key(i));
-  const size_t batch = static_cast<size_t>(state.range(0));
-  std::vector<std::string> keys;
-  std::vector<std::string_view> views;
-  keys.reserve(batch);
-  for (size_t i = 0; i < batch; ++i) keys.push_back(Key(i * 37));
-  views.assign(keys.begin(), keys.end());
-  std::unique_ptr<bool[]> out(new bool[batch]);
-  for (auto _ : state) {
-    filter.MightContainBatch(views.data(), batch, out.get());
-    benchmark::DoNotOptimize(out.get());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_BlockedBloomProbeBatch)->Arg(32)->Arg(256)->Arg(1024);
 
 // The expiry-book container race: open-addressing FlatStringMap vs the
 // node-based std::unordered_map it replaced. Upsert = the write path

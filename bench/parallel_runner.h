@@ -28,9 +28,9 @@
 #include <string>
 #include <vector>
 
-#include "bench/json_writer.h"
 #include "bench/workload_runner.h"
 #include "common/thread_pool.h"
+#include "obs/json.h"
 
 namespace speedkit::bench {
 
@@ -196,13 +196,13 @@ inline SeedStats SeedStatsOf(
   return SeedStatsOfValues(std::move(values));
 }
 
-inline JsonValue JsonSeedStats(const SeedStats& stats) {
-  return JsonRow({{"mean", stats.mean},
-                  {"stddev", stats.stddev},
-                  {"min", stats.min},
-                  {"max", stats.max},
-                  {"p50", stats.p50},
-                  {"p99", stats.p99}});
+inline obs::JsonValue JsonSeedStats(const SeedStats& stats) {
+  return obs::JsonRow({{"mean", stats.mean},
+                       {"stddev", stats.stddev},
+                       {"min", stats.min},
+                       {"max", stats.max},
+                       {"p50", stats.p50},
+                       {"p99", stats.p99}});
 }
 
 // One-line wall-clock summary for the text table. The merged numbers are

@@ -9,9 +9,9 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "bench/json_writer.h"
 #include "bench/trace_support.h"
 #include "bench/workload_runner.h"
+#include "obs/json.h"
 #include "tools/flags.h"
 
 namespace speedkit {
@@ -34,7 +34,7 @@ bench::RunSpec BaseSpec() {
 }
 
 
-void DeltaTrafficSweep(bench::JsonValue* rows) {
+void DeltaTrafficSweep(obs::JsonValue* rows) {
   bench::PrintSection(
       "per-client sketch traffic vs delta (fixed 120s TTL, 2 writes/s)");
   bench::Row("%8s %12s %14s %16s %14s %12s", "delta_s", "refreshes",
@@ -57,7 +57,7 @@ void DeltaTrafficSweep(bench::JsonValue* rows) {
                static_cast<unsigned long long>(
                    out.traffic.proxies.sketch_bypasses),
                out.staleness.max_staleness.seconds());
-    rows->Push(bench::JsonRow(
+    rows->Push(obs::JsonRow(
         {{"section", "delta_traffic"},
          {"delta_s", delta_s},
          {"sketch_refreshes", out.traffic.proxies.sketch_refreshes},
@@ -68,7 +68,7 @@ void DeltaTrafficSweep(bench::JsonValue* rows) {
   }
 }
 
-void WriteRateSweep(bench::JsonValue* rows) {
+void WriteRateSweep(obs::JsonValue* rows) {
   bench::PrintSection(
       "sketch load vs write rate (delta 30s, fixed 120s TTL)");
   bench::Row("%12s %14s %14s %14s %14s", "writes_per_s", "sketch_entries",
@@ -86,7 +86,7 @@ void WriteRateSweep(bench::JsonValue* rows) {
                    out.traffic.proxies.sketch_bypasses),
                static_cast<unsigned long long>(
                    out.traffic.proxies.revalidations_304));
-    rows->Push(bench::JsonRow(
+    rows->Push(obs::JsonRow(
         {{"section", "write_rate"},
          {"writes_per_sec", rate},
          {"sketch_entries", static_cast<uint64_t>(out.sketch_entries)},
@@ -111,19 +111,20 @@ int main(int argc, char** argv) {
       flags.GetString("json", ""), "sketch_traffic");
   std::string trace_path = speedkit::bench::TracePathFromFlag(
       flags.GetString("trace", ""), "sketch_traffic");
+  flags.RejectUnknown();
 
   speedkit::bench::PrintHeader(
       "E8", "Cache Sketch maintenance traffic",
       "protocol overhead table: coherence bytes per client vs delta and "
       "write pressure");
-  speedkit::bench::JsonValue rows = speedkit::bench::JsonValue::Array();
+  speedkit::obs::JsonValue rows = speedkit::obs::JsonValue::Array();
   speedkit::DeltaTrafficSweep(&rows);
   speedkit::WriteRateSweep(&rows);
   if (!json_path.empty()) {
-    speedkit::bench::JsonValue root = speedkit::bench::JsonValue::Object();
+    speedkit::obs::JsonValue root = speedkit::obs::JsonValue::Object();
     root.Set("bench", "sketch_traffic");
     root.Set("rows", std::move(rows));
-    speedkit::bench::WriteJsonFile(json_path, root);
+    speedkit::obs::WriteJsonFile(json_path, root);
   }
   // The delta=30s / fixed-120s-TTL cell both sweeps share.
   speedkit::bench::RunSpec trace_spec = speedkit::bench::DefaultRunSpec();

@@ -158,11 +158,10 @@ inline void MaybeTraceRun(const RunSpec& base, const std::string& bench_name,
   PrintSection("trace capture (--trace): " + trace_path);
 
   RunSpec spec = SpecForSeed(base, 0);
-  // Tracing captures one canonical unsharded run: a sharded run keeps one
-  // trace sink per shard and its merged output carries no captures, so
-  // there would be nothing to export (the sharded engine's own invariant
-  // — numbers never change with shards=1 vs the legacy stack — is gated
-  // separately by fig_throughput and tests/bench).
+  // Tracing captures one canonical one-shard run: a multi-shard run keeps
+  // one trace sink per shard and its merged output carries no captures,
+  // so there would be nothing to export. Only a one-part merge passes the
+  // captures through (see MergeShardOutputs).
   spec.stack.shards = 1;
   spec.run_threads = 1;
   RunOutput untraced = RunWorkload(spec);

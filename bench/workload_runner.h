@@ -3,13 +3,12 @@
 // category listings with origin + pipeline, run session traffic with a
 // Poisson write process, and hand back everything the tables print.
 //
-// Sharded execution (E15): when spec.stack.shards > 1, RunWorkload builds
-// a ShardedFleet instead of one stack — every shard replays the identical
-// recipe over its slice of the client population on up to spec.run_threads
-// threads — and merges the per-shard outputs in fixed shard order. The
-// merged RunOutput is a pure function of (spec, shards): bit-identical for
-// ANY run_threads (FingerprintRun is the check the tests and the E15
-// harness gate on).
+// Every run executes on a ShardedFleet (shards=1 is a one-stack fleet):
+// each shard replays the identical recipe over its slice of the client
+// population on up to spec.run_threads threads, and the per-shard outputs
+// merge in fixed shard order. The merged RunOutput is a pure function of
+// (spec, shards): bit-identical for ANY run_threads (FingerprintRun is the
+// check the tests and the E15 harness gate on).
 #ifndef SPEEDKIT_BENCH_WORKLOAD_RUNNER_H_
 #define SPEEDKIT_BENCH_WORKLOAD_RUNNER_H_
 
@@ -45,7 +44,7 @@ struct RunSpec {
 
 struct RunOutput {
   core::TrafficResult traffic;
-  core::StalenessReport staleness;
+  coherence::StalenessReport staleness;
   Histogram staleness_us;
   uint64_t origin_requests = 0;
   size_t sketch_entries = 0;
@@ -54,9 +53,10 @@ struct RunOutput {
   cache::EdgeFaultStats edge_faults;     // degraded-mode accounting (E14)
 
   // Observability captures — non-null only when spec.stack.obs switched
-  // them on AND the run was unsharded (a sharded run has one registry/sink
-  // per shard; captures stay per-run artifacts, the merged numbers come
-  // from the stats structs above). MergeRuns deliberately ignores them.
+  // them on AND the run had one shard (a multi-shard run has one
+  // registry/sink per shard; captures stay per-run artifacts, the merged
+  // numbers come from the stats structs above). MergeRuns deliberately
+  // ignores them.
   std::shared_ptr<obs::MetricsRegistry> metrics;
   std::shared_ptr<obs::InMemoryTraceSink> traces;
 };
@@ -156,9 +156,11 @@ inline RunOutput RunOneStack(core::SpeedKitStack& stack,
 
 // Folds shard outputs (fixed, ascending shard order — determinism depends
 // on it). Counters sum, histograms merge, gauges take the max; edge_faults
-// sum correctly because shard views cover disjoint edge sets.
+// sum correctly because shard views cover disjoint edge sets. A single
+// part passes through untouched, captures included.
 inline RunOutput MergeShardOutputs(std::vector<RunOutput> parts) {
   RunOutput merged = std::move(parts.front());
+  if (parts.size() == 1) return merged;
   for (size_t s = 1; s < parts.size(); ++s) {
     RunOutput& p = parts[s];
     merged.traffic.Merge(p.traffic);
@@ -178,9 +180,9 @@ inline RunOutput MergeShardOutputs(std::vector<RunOutput> parts) {
   return merged;
 }
 
-// One sharded run: shards execute concurrently on up to spec.run_threads
-// workers, results land in a shard-indexed grid and merge in shard order.
-inline RunOutput RunShardedWorkload(const RunSpec& spec) {
+// One run: shards execute concurrently on up to spec.run_threads workers,
+// results land in a shard-indexed grid and merge in shard order.
+inline RunOutput RunWorkload(const RunSpec& spec) {
   workload::Catalog catalog(spec.catalog, Pcg32(spec.catalog_seed));
   core::ShardedFleet fleet(spec.stack);
   // Each shard writes its result into a cache-line-aligned slot of the
@@ -191,19 +193,13 @@ inline RunOutput RunShardedWorkload(const RunSpec& spec) {
   };
   std::vector<ShardResult> grid(static_cast<size_t>(fleet.shards()));
   core::ForEachShard(fleet.shards(), spec.run_threads, [&](int s) {
-    grid[static_cast<size_t>(s)].out = RunOneStack(fleet.shard(s), catalog, spec);
+    grid[static_cast<size_t>(s)].out =
+        RunOneStack(fleet.shard(s), catalog, spec);
   });
   std::vector<RunOutput> parts;
   parts.reserve(grid.size());
   for (ShardResult& slot : grid) parts.push_back(std::move(slot.out));
   return MergeShardOutputs(std::move(parts));
-}
-
-inline RunOutput RunWorkload(const RunSpec& spec) {
-  if (spec.stack.shards > 1) return RunShardedWorkload(spec);
-  core::SpeedKitStack stack(spec.stack);
-  workload::Catalog catalog(spec.catalog, Pcg32(spec.catalog_seed));
-  return RunOneStack(stack, catalog, spec);
 }
 
 // Structural fingerprint of a run's merged numbers: every load-bearing

@@ -68,7 +68,7 @@ int main() {
               p.bytes_from_browser_cache / 1e6, p.bytes_over_network / 1e6);
 
   std::printf("\n-- coherence --\n");
-  const core::StalenessReport& s = stack.staleness().report();
+  const coherence::StalenessReport& s = stack.staleness().report();
   std::printf("writes applied        %llu\n",
               static_cast<unsigned long long>(result.writes_applied));
   std::printf("tracked reads         %llu\n",

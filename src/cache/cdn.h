@@ -48,8 +48,8 @@
 namespace speedkit::cache {
 
 // How the edge tier treats concurrent misses for the same key while an
-// origin fetch is already in flight (the sim-side adoption of
-// net/single_flight.h — one concept, two execution substrates).
+// origin fetch is already in flight. This flight table is the one place
+// misses coalesce: the simulator and speedkit-edged both go through it.
 //
 //   kInstant   Legacy model: an origin response is visible at the edge at
 //              fetch-START sim time, so a concurrent miss never exists and

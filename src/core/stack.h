@@ -22,9 +22,9 @@
 #include "cache/sharded_edge_map.h"
 #include "coherence/coherence_config.h"
 #include "coherence/protocol.h"
+#include "coherence/staleness.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "core/staleness.h"
 #include "invalidation/pipeline.h"
 #include "obs/metrics.h"
 #include "obs/obs_config.h"
@@ -175,7 +175,7 @@ class SpeedKitStack {
   // Null for variants without an invalidation pipeline.
   invalidation::InvalidationPipeline* pipeline() { return pipeline_.get(); }
   ttl::TtlPolicy& ttl_policy() { return *ttl_policy_; }
-  StalenessTracker& staleness() { return protocol_->staleness(); }
+  coherence::StalenessTracker& staleness() { return protocol_->staleness(); }
   const sim::FaultSchedule& faults() { return faults_; }
 
   // Forks a deterministic child RNG for drivers.

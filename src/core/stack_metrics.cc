@@ -123,7 +123,7 @@ void SpeedKitStack::CollectMetrics(const proxy::ProxyStats* merged_proxies) {
   *reg->Counter(obs::kOriginRenderTimeSavedUs) =
       static_cast<uint64_t>(o.render_time_saved_us);
 
-  const StalenessReport& sr = protocol_->staleness().report();
+  const coherence::StalenessReport& sr = protocol_->staleness().report();
   *reg->Counter(obs::kStalenessReads) = sr.reads;
   *reg->Counter(obs::kStalenessStaleReads) = sr.stale_reads;
   *reg->Counter(obs::kStalenessClamped) = sr.clamped;

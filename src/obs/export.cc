@@ -7,8 +7,8 @@ namespace speedkit::obs {
 
 namespace {
 
-bench::JsonValue HistogramToJson(const Histogram& h) {
-  return bench::JsonRow({
+JsonValue HistogramToJson(const Histogram& h) {
+  return JsonRow({
       {"count", h.count()},
       {"min", h.min()},
       {"max", h.max()},
@@ -34,10 +34,10 @@ std::string CsvField(const std::string& s) {
 
 }  // namespace
 
-bench::JsonValue MetricsToJson(const MetricsRegistry& registry) {
-  bench::JsonValue out = bench::JsonValue::Array();
+JsonValue MetricsToJson(const MetricsRegistry& registry) {
+  JsonValue out = JsonValue::Array();
   for (const auto& m : registry.metrics()) {
-    bench::JsonValue row = bench::JsonRow({
+    JsonValue row = JsonRow({
         {"name", m->name},
         {"labels", m->labels},
         {"kind", std::string(MetricKindName(m->kind))},
@@ -58,12 +58,12 @@ bench::JsonValue MetricsToJson(const MetricsRegistry& registry) {
   return out;
 }
 
-bench::JsonValue TracesToJson(const std::vector<RequestTrace>& traces) {
-  bench::JsonValue out = bench::JsonValue::Array();
+JsonValue TracesToJson(const std::vector<RequestTrace>& traces) {
+  JsonValue out = JsonValue::Array();
   for (const RequestTrace& t : traces) {
-    bench::JsonValue spans = bench::JsonValue::Array();
+    JsonValue spans = JsonValue::Array();
     for (const Span& s : t.spans) {
-      spans.Push(bench::JsonRow({
+      spans.Push(JsonRow({
           {"parent", s.parent},
           {"name", s.name},
           {"tier", s.tier},
@@ -71,7 +71,7 @@ bench::JsonValue TracesToJson(const std::vector<RequestTrace>& traces) {
           {"duration_us", s.duration_us},
       }));
     }
-    bench::JsonValue row = bench::JsonRow({
+    JsonValue row = JsonRow({
         {"id", t.id},
         {"kind", t.kind},
         {"url", t.url},
@@ -89,10 +89,10 @@ bench::JsonValue TracesToJson(const std::vector<RequestTrace>& traces) {
 
 bool WriteMetricsJson(const std::string& path, const MetricsRegistry& registry,
                       const MetaList& meta) {
-  bench::JsonValue root = bench::JsonValue::Object();
+  JsonValue root = JsonValue::Object();
   for (const auto& [key, value] : meta) root.Set(key, value);
   root.Set("metrics", MetricsToJson(registry));
-  return bench::WriteJsonFile(path, root);
+  return WriteJsonFile(path, root);
 }
 
 bool WriteMetricsCsv(const std::string& path,

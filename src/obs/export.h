@@ -1,5 +1,5 @@
 // Exporters: MetricsRegistry and trace collections -> the same ordered
-// JSON used by every bench binary (bench/json_writer.h), plus a flat CSV
+// JSON used by every bench binary (obs/json.h), plus a flat CSV
 // trace format that tools/trace_report consumes.
 //
 // Trace CSV layout (one file per run):
@@ -16,7 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "bench/json_writer.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -26,10 +26,10 @@ using MetaList = std::vector<std::pair<std::string, std::string>>;
 
 // One JSON object per metric, in registration order. Counters/gauges carry
 // `value`; histograms carry {count, min, max, mean, p50, p95, p99}.
-bench::JsonValue MetricsToJson(const MetricsRegistry& registry);
+JsonValue MetricsToJson(const MetricsRegistry& registry);
 
 // Full trace tree as JSON (id/kind/url/tier/status/degraded/latency/spans).
-bench::JsonValue TracesToJson(const std::vector<RequestTrace>& traces);
+JsonValue TracesToJson(const std::vector<RequestTrace>& traces);
 
 // Writes `{meta..., metrics: [...]}` to `path`. Returns false on IO error.
 bool WriteMetricsJson(const std::string& path, const MetricsRegistry& registry,

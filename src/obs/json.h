@@ -1,12 +1,13 @@
-// Minimal ordered JSON value tree + emitter for the experiment harnesses.
+// Minimal ordered JSON value tree + emitter, shared by the obs exporters
+// and the experiment harnesses.
 //
 // Every fig_*/tbl_* binary accepts --json[=<path>] and, when set, writes a
 // BENCH_<name>.json next to its text table so downstream tooling (plots,
 // perf trajectories across PRs) can consume machine-readable metrics
 // instead of scraping printf output. Keys keep insertion order so emitted
 // files are deterministic and diffable.
-#ifndef SPEEDKIT_BENCH_JSON_WRITER_H_
-#define SPEEDKIT_BENCH_JSON_WRITER_H_
+#ifndef SPEEDKIT_OBS_JSON_H_
+#define SPEEDKIT_OBS_JSON_H_
 
 #include <cmath>
 #include <cstdint>
@@ -18,7 +19,7 @@
 #include <variant>
 #include <vector>
 
-namespace speedkit::bench {
+namespace speedkit::obs {
 
 class JsonValue {
  public:
@@ -188,16 +189,6 @@ inline bool WriteJsonFile(const std::string& path, const JsonValue& root) {
   return out.good();
 }
 
-// Resolves the --json flag value for a harness named `name`: a bare
-// `--json` picks the conventional BENCH_<name>.json, `--json=<path>`
-// overrides, absent flag disables (empty string).
-inline std::string JsonPathFromFlag(const std::string& flag_value,
-                                    const std::string& name) {
-  if (flag_value.empty()) return "";
-  if (flag_value == "true") return "BENCH_" + name + ".json";
-  return flag_value;
-}
+}  // namespace speedkit::obs
 
-}  // namespace speedkit::bench
-
-#endif  // SPEEDKIT_BENCH_JSON_WRITER_H_
+#endif  // SPEEDKIT_OBS_JSON_H_

@@ -42,10 +42,12 @@ TEST(ShardedRunTest, RepeatedRunsAreBitIdentical) {
 
 TEST(ShardedRunTest, OneShardFleetReproducesLegacyStack) {
   RunSpec spec = SmallShardedSpec(/*shards=*/1);
-  // shards=1 dispatches to the legacy single-stack path in RunWorkload;
-  // force the fleet path explicitly and compare.
-  uint64_t legacy = FingerprintRun(RunWorkload(spec));
-  uint64_t fleet = FingerprintRun(RunShardedWorkload(spec));
+  // RunWorkload always runs a fleet; the reference is one standalone
+  // stack (private edge tier, no fleet) driven by the same recipe.
+  core::SpeedKitStack stack(spec.stack);
+  workload::Catalog catalog(spec.catalog, Pcg32(spec.catalog_seed));
+  uint64_t legacy = FingerprintRun(RunOneStack(stack, catalog, spec));
+  uint64_t fleet = FingerprintRun(RunWorkload(spec));
   EXPECT_EQ(fleet, legacy);
 }
 

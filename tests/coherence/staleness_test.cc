@@ -1,8 +1,8 @@
-#include "core/staleness.h"
+#include "coherence/staleness.h"
 
 #include <gtest/gtest.h>
 
-namespace speedkit::core {
+namespace speedkit::coherence {
 namespace {
 
 SimTime At(double seconds) {
@@ -145,4 +145,4 @@ TEST(StalenessTrackerTest, ReportMergeSumsViolationAccounting) {
 }
 
 }  // namespace
-}  // namespace speedkit::core
+}  // namespace speedkit::coherence

@@ -18,7 +18,7 @@ workload::CatalogConfig SmallCatalog() {
 }
 
 struct RunOutcome {
-  StalenessReport staleness;
+  coherence::StalenessReport staleness;
   uint64_t page_views = 0;
 };
 

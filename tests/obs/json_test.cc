@@ -1,4 +1,4 @@
-#include "bench/json_writer.h"
+#include "obs/json.h"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,9 @@
 #include <fstream>
 #include <sstream>
 
-namespace speedkit::bench {
+#include "bench/bench_util.h"
+
+namespace speedkit::obs {
 namespace {
 
 TEST(JsonValueTest, ScalarsDump) {
@@ -77,7 +79,7 @@ TEST(JsonValueTest, NestedStructureDumpIsDeterministic) {
 }
 
 TEST(JsonWriterTest, WritesFileWithTrailingNewline) {
-  std::string path = ::testing::TempDir() + "/json_writer_test.json";
+  std::string path = ::testing::TempDir() + "/json_test.json";
   JsonValue root = JsonValue::Object();
   root.Set("x", 1);
   ASSERT_TRUE(WriteJsonFile(path, root));
@@ -89,10 +91,12 @@ TEST(JsonWriterTest, WritesFileWithTrailingNewline) {
 }
 
 TEST(JsonWriterTest, JsonPathFromFlagResolution) {
-  EXPECT_EQ(JsonPathFromFlag("", "baselines"), "");
-  EXPECT_EQ(JsonPathFromFlag("true", "baselines"), "BENCH_baselines.json");
-  EXPECT_EQ(JsonPathFromFlag("/tmp/out.json", "baselines"), "/tmp/out.json");
+  EXPECT_EQ(bench::JsonPathFromFlag("", "baselines"), "");
+  EXPECT_EQ(bench::JsonPathFromFlag("true", "baselines"),
+            "BENCH_baselines.json");
+  EXPECT_EQ(bench::JsonPathFromFlag("/tmp/out.json", "baselines"),
+            "/tmp/out.json");
 }
 
 }  // namespace
-}  // namespace speedkit::bench
+}  // namespace speedkit::obs

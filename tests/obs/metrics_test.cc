@@ -94,7 +94,7 @@ TEST(MetricsExportTest, MetricsToJsonCarriesEverySeries) {
   *reg.Counter("proxy.requests") = 41;
   *reg.Gauge("sketch.entries") = 5;
   reg.Histo("request.latency_us", "tier=edge")->Add(2500);
-  bench::JsonValue json = MetricsToJson(reg);
+  obs::JsonValue json = MetricsToJson(reg);
   EXPECT_EQ(json.size(), 3u);
   std::string dump = json.Dump();
   EXPECT_NE(dump.find("\"proxy.requests\""), std::string::npos);

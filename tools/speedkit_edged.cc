@@ -82,6 +82,7 @@ int main(int argc, char** argv) {
       ParseFlightMode(flags.GetString("flight", "coalesce"));
   config.catalog.num_products =
       static_cast<size_t>(flags.GetInt("products", 2000));
+  flags.RejectUnknown();
 
   speedkit::net::EdgedServer server(config);
   if (!server.Start()) {

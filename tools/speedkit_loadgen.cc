@@ -64,6 +64,7 @@ int main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("hot-products", 500));
   config.catalog.num_products =
       static_cast<size_t>(flags.GetInt("products", 2000));
+  flags.RejectUnknown();
 
   speedkit::net::LoadGenReport report = speedkit::net::RunLoadGen(config);
 

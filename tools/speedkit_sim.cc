@@ -70,13 +70,25 @@ int main(int argc, char** argv) {
   // dashboard numbers below are bit-for-bit identical.
   config.obs.metrics = flags.Has("metrics");
   config.obs.tracing = flags.Has("trace");
-  core::SpeedKitStack stack(config);
+  std::string trace_path = flags.GetString("trace", "true");
+  if (trace_path == "true") trace_path = "TRACE_sim.csv";
+  std::string metrics_path = flags.GetString("metrics", "true");
+  if (metrics_path == "true") metrics_path = "METRICS_sim.json";
 
   workload::CatalogConfig catalog_config;
   catalog_config.num_products =
       static_cast<size_t>(flags.GetInt("products", 5000));
   catalog_config.num_categories =
       static_cast<int>(flags.GetInt("categories", 40));
+
+  core::TrafficConfig traffic;
+  traffic.num_clients = static_cast<size_t>(flags.GetInt("clients", 40));
+  traffic.duration = Duration::Minutes(flags.GetDouble("minutes", 30));
+  traffic.writes_per_sec = flags.GetDouble("writes-per-sec", 3.0);
+  traffic.session.product_skew = flags.GetDouble("skew", 0.9);
+  flags.RejectUnknown();
+
+  core::SpeedKitStack stack(config);
   workload::Catalog catalog(catalog_config, Pcg32(config.seed + 1));
   catalog.Populate(&stack.store(), stack.clock().Now());
   for (int c = 0; c < catalog.num_categories(); ++c) {
@@ -87,12 +99,6 @@ int main(int argc, char** argv) {
     }
   }
   stack.Advance(Duration::Seconds(5));
-
-  core::TrafficConfig traffic;
-  traffic.num_clients = static_cast<size_t>(flags.GetInt("clients", 40));
-  traffic.duration = Duration::Minutes(flags.GetDouble("minutes", 30));
-  traffic.writes_per_sec = flags.GetDouble("writes-per-sec", 3.0);
-  traffic.session.product_skew = flags.GetDouble("skew", 0.9);
 
   std::printf("speedkit_sim: variant=%s clients=%zu minutes=%.0f "
               "writes/s=%.1f skew=%.2f delta=%.0fs seed=%llu\n\n",
@@ -118,7 +124,7 @@ int main(int argc, char** argv) {
               result.api_latency_us.P90() / 1e3,
               result.api_latency_us.P99() / 1e3);
 
-  const core::StalenessReport& s = stack.staleness().report();
+  const coherence::StalenessReport& s = stack.staleness().report();
   std::printf("coherence    writes=%llu stale_reads=%llu (%.3f%%) "
               "max_staleness=%.2fs\n",
               static_cast<unsigned long long>(result.writes_applied),
@@ -155,8 +161,6 @@ int main(int argc, char** argv) {
     tier_row("error", p.latency_error_us);
     tier_row("degraded", p.latency_degraded_us);
 
-    std::string trace_path = flags.GetString("trace", "true");
-    if (trace_path == "true") trace_path = "TRACE_sim.csv";
     obs::MetaList meta = {
         {"bench", "speedkit_sim"},
         {"seed", std::to_string(config.seed)},
@@ -173,8 +177,6 @@ int main(int argc, char** argv) {
   }
   if (config.obs.metrics) {
     stack.CollectMetrics(&result.proxies);
-    std::string metrics_path = flags.GetString("metrics", "true");
-    if (metrics_path == "true") metrics_path = "METRICS_sim.json";
     obs::MetaList meta = {
         {"bench", "speedkit_sim"},
         {"variant", std::string(core::SystemVariantName(config.variant))},

@@ -125,6 +125,7 @@ int main(int argc, char** argv) {
   const int top_n = static_cast<int>(flags.GetInt("top", 5));
   const int width = std::clamp<int>(
       static_cast<int>(flags.GetInt("width", 56)), 16, 112);
+  flags.RejectUnknown();
 
   std::ifstream in(path);
   if (!in) {

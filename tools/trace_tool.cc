@@ -38,23 +38,32 @@ Result<workload::Trace> LoadTrace(const std::string& path) {
   return workload::Trace::Deserialize(buffer.str());
 }
 
-workload::Catalog MakeCatalog(const tools::Flags& flags) {
+workload::Catalog MakeCatalog(size_t products, uint64_t seed) {
   workload::CatalogConfig config;
-  config.num_products =
-      static_cast<size_t>(flags.GetInt("products", 5000));
-  return workload::Catalog(config,
-                           Pcg32(static_cast<uint64_t>(flags.GetInt("seed", 7)) + 1));
+  config.num_products = products;
+  return workload::Catalog(config, Pcg32(seed + 1));
+}
+
+size_t ProductsFlag(const tools::Flags& flags) {
+  return static_cast<size_t>(flags.GetInt("products", 5000));
+}
+
+uint64_t SeedFlag(const tools::Flags& flags) {
+  return static_cast<uint64_t>(flags.GetInt("seed", 7));
 }
 
 int Generate(const tools::Flags& flags) {
   std::string out = flags.GetString("out", "");
+  const size_t products = ProductsFlag(flags);
+  const uint64_t seed = SeedFlag(flags);
+  const size_t clients = static_cast<size_t>(flags.GetInt("clients", 20));
+  const Duration duration = Duration::Minutes(flags.GetDouble("minutes", 30));
+  const double writes_per_sec = flags.GetDouble("writes-per-sec", 2.0);
+  flags.RejectUnknown();
   if (out.empty()) return Usage();
-  workload::Catalog catalog = MakeCatalog(flags);
-  workload::Trace trace = core::SynthesizeTrace(
-      catalog, static_cast<size_t>(flags.GetInt("clients", 20)),
-      Duration::Minutes(flags.GetDouble("minutes", 30)),
-      flags.GetDouble("writes-per-sec", 2.0),
-      static_cast<uint64_t>(flags.GetInt("seed", 7)));
+  workload::Catalog catalog = MakeCatalog(products, seed);
+  workload::Trace trace = core::SynthesizeTrace(catalog, clients, duration,
+                                                writes_per_sec, seed);
   std::ofstream file(out);
   if (!file) {
     std::fprintf(stderr, "cannot write %s\n", out.c_str());
@@ -66,6 +75,7 @@ int Generate(const tools::Flags& flags) {
 }
 
 int Info(const tools::Flags& flags) {
+  flags.RejectUnknown();
   if (flags.positional().size() < 2) return Usage();
   auto trace = LoadTrace(flags.positional()[1]);
   if (!trace.ok()) {
@@ -99,6 +109,10 @@ int Info(const tools::Flags& flags) {
 }
 
 int Replay(const tools::Flags& flags) {
+  std::string variant = flags.GetString("variant", "speed_kit");
+  const size_t products = ProductsFlag(flags);
+  const uint64_t seed = SeedFlag(flags);
+  flags.RejectUnknown();
   if (flags.positional().size() < 2) return Usage();
   auto trace = LoadTrace(flags.positional()[1]);
   if (!trace.ok()) {
@@ -106,7 +120,6 @@ int Replay(const tools::Flags& flags) {
     return 1;
   }
   core::StackConfig config;
-  std::string variant = flags.GetString("variant", "speed_kit");
   if (variant == "fixed_ttl_cdn") {
     config.variant = core::SystemVariant::kFixedTtlCdn;
   } else if (variant == "no_caching") {
@@ -114,9 +127,9 @@ int Replay(const tools::Flags& flags) {
   } else if (variant == "pure_invalidation") {
     config.variant = core::SystemVariant::kPureInvalidation;
   }
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  config.seed = seed;
   core::SpeedKitStack stack(config);
-  workload::Catalog catalog = MakeCatalog(flags);
+  workload::Catalog catalog = MakeCatalog(products, seed);
   catalog.Populate(&stack.store(), stack.clock().Now());
   for (int c = 0; c < catalog.num_categories(); ++c) {
     (void)stack.origin().RegisterQuery(catalog.CategoryQuery(c));
